@@ -38,6 +38,7 @@
 #endif
 
 #include "bench_util.h"
+#include "common/cacheline.h"
 #include "core/auditor.h"
 #include "core/btrace.h"
 #include "obs/profiler.h"
@@ -186,7 +187,9 @@ runPoint(BTrace &bt, CostProfiler &prof, unsigned threads,
     PointResult r;
     r.threads = threads;
     r.cores = cores;
-    std::vector<uint64_t> ops(threads, 0);
+    // One cache line per producer's op count: a shared line here
+    // would make the sweep measure its own false sharing.
+    std::vector<CacheAligned<uint64_t>> ops(threads);
     std::vector<PerfSample> perfSamples(threads);
     std::vector<char> perfGood(threads, 0);
     std::vector<char> pinGood(threads, 0);
@@ -207,8 +210,8 @@ runPoint(BTrace &bt, CostProfiler &prof, unsigned threads,
             for (uint64_t w = 0;
                  w < warmupOps && !stop.load(std::memory_order_acquire);
                  ++w)
-                perOp(i, ops[i]);
-            ops[i] = 0;
+                perOp(i, *ops[i]);
+            *ops[i] = 0;
             ThreadPerfCounters perf;
             if (perf.open()) {
                 perfGood[i] = 1;
@@ -224,11 +227,11 @@ runPoint(BTrace &bt, CostProfiler &prof, unsigned threads,
                 std::this_thread::yield();
             perf.reset();
             while (!stop.load(std::memory_order_acquire)) {
-                const bool timed = (ops[i] % sampleEvery) == 0;
+                const bool timed = (*ops[i] % sampleEvery) == 0;
                 const auto s0 =
                     timed ? Clock::now() : Clock::time_point{};
-                if (perOp(i, ops[i]))
-                    ++ops[i];
+                if (perOp(i, *ops[i]))
+                    ++*ops[i];
                 if (timed) {
                     const auto ns =
                         std::chrono::duration<double, std::nano>(
@@ -255,8 +258,8 @@ runPoint(BTrace &bt, CostProfiler &prof, unsigned threads,
     bt.attachProfiler(nullptr);
     r.sharedRmws = bt.countersSnapshot().sharedRmws - rmws0;
 
-    for (uint64_t o : ops)
-        r.totalOps += o;
+    for (const CacheAligned<uint64_t> &o : ops)
+        r.totalOps += *o;
     r.opsPerSec =
         r.elapsedSec > 0 ? double(r.totalOps) / r.elapsedSec : 0.0;
     r.rmwsPerOp = r.totalOps > 0

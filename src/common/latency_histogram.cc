@@ -4,25 +4,9 @@
 #include <bit>
 #include <thread>
 
+#include "common/thread_ordinal.h"
+
 namespace btrace {
-
-namespace {
-
-/**
- * Stable small integer id per thread: assigned once on first use, so
- * a thread keeps hitting the same shard (and the same cache lines)
- * for its whole lifetime instead of hashing a recycled native id.
- */
-unsigned
-threadOrdinal()
-{
-    static std::atomic<unsigned> next{0};
-    thread_local const unsigned ordinal =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return ordinal;
-}
-
-} // namespace
 
 uint64_t
 HistogramSnapshot::quantile(double q) const

@@ -38,21 +38,23 @@ BTraceCounters::snapshot() const
     const auto ld = [](const std::atomic<uint64_t> &a) {
         return a.load(std::memory_order_relaxed);
     };
-    s.fastAllocs = ld(fastAllocs);
-    s.boundaryFills = ld(boundaryFills);
-    s.staleAllocs = ld(staleAllocs);
-    s.advances = ld(advances);
-    s.skips = ld(skips);
-    s.closes = ld(closes);
-    s.lockRaces = ld(lockRaces);
-    s.coreRaces = ld(coreRaces);
-    s.wouldBlock = ld(wouldBlock);
-    s.dummyBytes = ld(dummyBytes);
-    s.resizes = ld(resizes);
-    s.sharedRmws = ld(sharedRmws);
-    s.leases = ld(leases);
-    s.leaseEntries = ld(leaseEntries);
-    s.leasedOutstanding = ld(leasedOutstanding);
+    for (const Shard &sh : shards) {
+        s.fastAllocs += ld(sh.fastAllocs);
+        s.boundaryFills += ld(sh.boundaryFills);
+        s.staleAllocs += ld(sh.staleAllocs);
+        s.advances += ld(sh.advances);
+        s.skips += ld(sh.skips);
+        s.closes += ld(sh.closes);
+        s.lockRaces += ld(sh.lockRaces);
+        s.coreRaces += ld(sh.coreRaces);
+        s.wouldBlock += ld(sh.wouldBlock);
+        s.dummyBytes += ld(sh.dummyBytes);
+        s.resizes += ld(sh.resizes);
+        s.sharedRmws += ld(sh.sharedRmws);
+        s.leases += ld(sh.leases);
+        s.leaseEntries += ld(sh.leaseEntries);
+        s.leasedOutstanding += ld(sh.leasedOutstanding);
+    }
     return s;
 }
 
@@ -339,6 +341,7 @@ BTrace::writeFlightToArena(const char *bundle, std::size_t len) noexcept
 WriteTicket
 BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
 {
+    BTraceCounters::Shard &ctr = ctrs.local();
     BTRACE_DASSERT(core < cfg.cores, "core id out of range");
     const auto need = static_cast<uint32_t>(
         EntryLayout::normalSize(payload_len));
@@ -376,8 +379,7 @@ BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
                     timedAdvance(pf, core, local_word, ticket.cost);
                 if (res == AdvanceResult::WouldBlock) {
                     ticket.status = AllocStatus::Retry;
-                    ctrs.wouldBlock.fetch_add(1,
-                                              std::memory_order_relaxed);
+                    ctr.wouldBlock.fetch_add(1, std::memory_order_relaxed);
                     return ticket;
                 }
             }
@@ -397,7 +399,7 @@ BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
                 m.allocated.fetch_add(need, std::memory_order_acq_rel);
         }
         const RndPos old = RndPos::unpack(claimed);
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         ticket.cost += costs.atomicLocal;
 
         if (old.rnd == exp_rnd) {
@@ -409,7 +411,7 @@ BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
                 ticket.entrySize = need;
                 ticket.handle.slot = static_cast<uint32_t>(meta_idx);
                 ticket.status = AllocStatus::Ok;
-                ctrs.fastAllocs.fetch_add(1, std::memory_order_relaxed);
+                ctr.fastAllocs.fetch_add(1, std::memory_order_relaxed);
                 return ticket;
             }
 
@@ -425,9 +427,9 @@ BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
                 // be skipped, never re-locked, until the confirm.
                 BTRACE_TEST_YIELD(AllocPreBoundaryConfirm);
                 m.confirmed.fetch_add(gap, std::memory_order_acq_rel);
-                ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-                ctrs.boundaryFills.fetch_add(1, std::memory_order_relaxed);
-                ctrs.dummyBytes.fetch_add(gap, std::memory_order_relaxed);
+                ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+                ctr.boundaryFills.fetch_add(1, std::memory_order_relaxed);
+                ctr.dummyBytes.fetch_add(gap, std::memory_order_relaxed);
                 ticket.cost += costs.atomicLocal + costs.copy(8);
                 journalEmit(JournalEventKind::BlockClose, core,
                             local.pos,
@@ -439,7 +441,7 @@ BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
                 timedAdvance(pf, core, local_word, ticket.cost);
             if (res == AdvanceResult::WouldBlock) {
                 ticket.status = AllocStatus::Retry;
-                ctrs.wouldBlock.fetch_add(1, std::memory_order_relaxed);
+                ctr.wouldBlock.fetch_add(1, std::memory_order_relaxed);
                 return ticket;
             }
             continue;
@@ -454,7 +456,7 @@ BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
         // by a wrap-around producer (§3.2). We own [old.pos,
         // old.pos+need) of the *new* round's block; fill it with a
         // dummy and confirm so that block still completes.
-        ctrs.staleAllocs.fetch_add(1, std::memory_order_relaxed);
+        ctr.staleAllocs.fetch_add(1, std::memory_order_relaxed);
         if (old.pos < cap) {
             const auto claim = static_cast<uint32_t>(
                 std::min<uint64_t>(need, cap - old.pos));
@@ -466,8 +468,8 @@ BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
             // complete until this confirm lands.
             BTRACE_TEST_YIELD(AllocPreStaleConfirm);
             m.confirmed.fetch_add(claim, std::memory_order_acq_rel);
-            ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-            ctrs.dummyBytes.fetch_add(claim, std::memory_order_relaxed);
+            ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+            ctr.dummyBytes.fetch_add(claim, std::memory_order_relaxed);
             ticket.cost += costs.atomicLocal + costs.copy(8);
         }
 
@@ -480,14 +482,14 @@ BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
                 timedAdvance(pf, core, local_word, ticket.cost);
             if (res == AdvanceResult::WouldBlock) {
                 ticket.status = AllocStatus::Retry;
-                ctrs.wouldBlock.fetch_add(1, std::memory_order_relaxed);
+                ctr.wouldBlock.fetch_add(1, std::memory_order_relaxed);
                 return ticket;
             }
         }
     }
 
     ticket.status = AllocStatus::Retry;
-    ctrs.wouldBlock.fetch_add(1, std::memory_order_relaxed);
+    ctr.wouldBlock.fetch_add(1, std::memory_order_relaxed);
     return ticket;
 }
 
@@ -503,7 +505,7 @@ BTrace::confirm(WriteTicket &ticket)
         m.confirmed.fetch_add(ticket.entrySize,
                               std::memory_order_acq_rel);
     }
-    ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+    ctrs.local().sharedRmws.fetch_add(1, std::memory_order_relaxed);
     ticket.cost += costs.atomicLocal;
 }
 
@@ -512,8 +514,8 @@ BTrace::abandonWrite(WriteTicket &ticket)
 {
     BTRACE_DASSERT(ticket.status == AllocStatus::Ok, "abandon without Ok");
     writeDummy(ticket.dst, ticket.entrySize);
-    ctrs.dummyBytes.fetch_add(ticket.entrySize,
-                              std::memory_order_relaxed);
+    ctrs.local().dummyBytes.fetch_add(ticket.entrySize,
+                                      std::memory_order_relaxed);
     ticket.cost += costs.copy(8);
     confirm(ticket);
 }
@@ -522,6 +524,7 @@ Lease
 BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
               uint32_t n)
 {
+    BTraceCounters::Shard &ctr = ctrs.local();
     BTRACE_DASSERT(core < cfg.cores, "core id out of range");
     const auto need = static_cast<uint32_t>(
         EntryLayout::normalSize(payload_hint));
@@ -555,8 +558,7 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
                 local_word) {
                 if (timedAdvance(pf, core, local_word, cost) ==
                     AdvanceResult::WouldBlock) {
-                    ctrs.wouldBlock.fetch_add(1,
-                                              std::memory_order_relaxed);
+                    ctr.wouldBlock.fetch_add(1, std::memory_order_relaxed);
                     return deniedLease(AllocStatus::Retry, cost);
                 }
             }
@@ -576,7 +578,7 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
                 m.allocated.fetch_add(want, std::memory_order_acq_rel);
         }
         const RndPos old = RndPos::unpack(claimed);
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         cost += costs.atomicLocal;
 
         if (old.rnd == exp_rnd) {
@@ -589,8 +591,8 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
                     std::min<uint64_t>(want, cap - old.pos));
                 const uint64_t phys =
                     local.pos % (numActive * local.ratio);
-                ctrs.leases.fetch_add(1, std::memory_order_relaxed);
-                ctrs.leasedOutstanding.fetch_add(
+                ctr.leases.fetch_add(1, std::memory_order_relaxed);
+                ctr.leasedOutstanding.fetch_add(
                     grant, std::memory_order_relaxed);
                 journalEmit(JournalEventKind::LeaseGrant, core,
                             local.pos, grant);
@@ -607,7 +609,7 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
                         old.pos, grant, local.pos);
                 return grantLease(*this, core, thread,
                                   blockData(phys) + old.pos, grant,
-                                  handle, cost);
+                                  want, handle, cost);
             }
 
             if (old.pos < cap) {
@@ -619,11 +621,9 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
                 writeDummy(blockData(phys) + old.pos, gap);
                 BTRACE_TEST_YIELD(AllocPreBoundaryConfirm);
                 m.confirmed.fetch_add(gap, std::memory_order_acq_rel);
-                ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-                ctrs.boundaryFills.fetch_add(1,
-                                             std::memory_order_relaxed);
-                ctrs.dummyBytes.fetch_add(gap,
-                                          std::memory_order_relaxed);
+                ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+                ctr.boundaryFills.fetch_add(1, std::memory_order_relaxed);
+                ctr.dummyBytes.fetch_add(gap, std::memory_order_relaxed);
                 cost += costs.atomicLocal + costs.copy(8);
                 journalEmit(JournalEventKind::BlockClose, core,
                             local.pos,
@@ -632,7 +632,7 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
 
             if (timedAdvance(pf, core, local_word, cost) ==
                 AdvanceResult::WouldBlock) {
-                ctrs.wouldBlock.fetch_add(1, std::memory_order_relaxed);
+                ctr.wouldBlock.fetch_add(1, std::memory_order_relaxed);
                 return deniedLease(AllocStatus::Retry, cost);
             }
             continue;
@@ -646,7 +646,7 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
         // We own [old.pos, old.pos+want) of the *new* round's block;
         // fill the in-capacity part with a dummy and confirm so that
         // block still completes (§3.2).
-        ctrs.staleAllocs.fetch_add(1, std::memory_order_relaxed);
+        ctr.staleAllocs.fetch_add(1, std::memory_order_relaxed);
         if (old.pos < cap) {
             const auto claim = static_cast<uint32_t>(
                 std::min<uint64_t>(want, cap - old.pos));
@@ -656,8 +656,8 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
                        claim);
             BTRACE_TEST_YIELD(AllocPreStaleConfirm);
             m.confirmed.fetch_add(claim, std::memory_order_acq_rel);
-            ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-            ctrs.dummyBytes.fetch_add(claim, std::memory_order_relaxed);
+            ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+            ctr.dummyBytes.fetch_add(claim, std::memory_order_relaxed);
             cost += costs.atomicLocal + costs.copy(8);
         }
 
@@ -665,19 +665,20 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
             local_word) {
             if (timedAdvance(pf, core, local_word, cost) ==
                 AdvanceResult::WouldBlock) {
-                ctrs.wouldBlock.fetch_add(1, std::memory_order_relaxed);
+                ctr.wouldBlock.fetch_add(1, std::memory_order_relaxed);
                 return deniedLease(AllocStatus::Retry, cost);
             }
         }
     }
 
-    ctrs.wouldBlock.fetch_add(1, std::memory_order_relaxed);
+    ctr.wouldBlock.fetch_add(1, std::memory_order_relaxed);
     return deniedLease(AllocStatus::Retry, cost);
 }
 
 void
 BTrace::leaseClose(Lease &l)
 {
+    BTraceCounters::Shard &ctr = ctrs.local();
     const LeaseView v = viewOf(l);
     const uint32_t remainder = v.len - v.used;
     const uint32_t publish = v.confirmedBytes + remainder;
@@ -721,10 +722,10 @@ BTrace::leaseClose(Lease &l)
                 // dummy-fills and confirms the span on our behalf.
                 // Publishing too would double-confirm, so drop ours;
                 // keep the level counter and the entry tally sane.
-                ctrs.leasedOutstanding.fetch_sub(
+                ctr.leasedOutstanding.fetch_sub(
                     publish, std::memory_order_relaxed);
-                ctrs.leaseEntries.fetch_add(v.served,
-                                            std::memory_order_relaxed);
+                ctr.leaseEntries.fetch_add(v.served,
+                                           std::memory_order_relaxed);
                 chargeLease(l, cost);
                 return;
             }
@@ -737,19 +738,18 @@ BTrace::leaseClose(Lease &l)
             meta[v.handle.slot].confirmed.fetch_add(
                 publish, std::memory_order_acq_rel);
         }
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         cost += costs.atomicLocal;
     }
     if (rec != nullptr)
         rec->state.store(LeaseOwnerRecord::Free,
                          std::memory_order_release);
-    ctrs.leaseEntries.fetch_add(v.served, std::memory_order_relaxed);
+    ctr.leaseEntries.fetch_add(v.served, std::memory_order_relaxed);
     if (v.dummyBytes + remainder > 0) {
-        ctrs.dummyBytes.fetch_add(v.dummyBytes + remainder,
-                                  std::memory_order_relaxed);
+        ctr.dummyBytes.fetch_add(v.dummyBytes + remainder,
+                                 std::memory_order_relaxed);
     }
-    ctrs.leasedOutstanding.fetch_sub(publish,
-                                     std::memory_order_relaxed);
+    ctr.leasedOutstanding.fetch_sub(publish, std::memory_order_relaxed);
     // Journal only the anomalous closes: an abandoned lease (granted,
     // served nothing) or an early revoke returning unused bytes. The
     // clean fully-used close is the hot path and says nothing.
@@ -766,6 +766,7 @@ void
 BTrace::closeRound(std::size_t meta_idx, uint32_t rnd, double &cost,
                    BlockCloseReason reason)
 {
+    BTraceCounters::Shard &ctr = ctrs.local();
     MetadataBlock &m = meta[meta_idx];
     for (;;) {
         uint64_t aw = m.allocated.load(std::memory_order_acquire);
@@ -775,7 +776,7 @@ BTrace::closeRound(std::size_t meta_idx, uint32_t rnd, double &cost,
         // Critical window: a concurrent reservation or a competing
         // closer can move Allocated between the load and this claim.
         BTRACE_TEST_YIELD(ClosePreClaim);
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         if (!m.allocated.compare_exchange_weak(
                 aw, RndPos::pack(rnd, uint32_t(cap)),
                 std::memory_order_acq_rel, std::memory_order_relaxed)) {
@@ -787,9 +788,9 @@ BTrace::closeRound(std::size_t meta_idx, uint32_t rnd, double &cost,
         const uint64_t pos = uint64_t(rnd) * numActive + meta_idx;
         writeDummy(blockData(physicalOf(pos)) + a.pos, gap);
         m.confirmed.fetch_add(gap, std::memory_order_acq_rel);
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-        ctrs.closes.fetch_add(1, std::memory_order_relaxed);
-        ctrs.dummyBytes.fetch_add(gap, std::memory_order_relaxed);
+        ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        ctr.closes.fetch_add(1, std::memory_order_relaxed);
+        ctr.dummyBytes.fetch_add(gap, std::memory_order_relaxed);
         cost += costs.atomicShared * 2 + costs.copy(8);
         journalEmit(JournalEventKind::BlockClose, EventJournal::kNoCore,
                     pos, uint64_t(reason));
@@ -800,13 +801,14 @@ BTrace::closeRound(std::size_t meta_idx, uint32_t rnd, double &cost,
 BTrace::AdvanceResult
 BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
 {
+    BTraceCounters::Shard &ctr = ctrs.local();
     const auto max_skips = 2 * numActive;
     std::size_t skips_in_a_row = 0;
 
     for (;;) {
         const RatioPos g = RatioPos::unpack(global->fetch_add(
             1, std::memory_order_acq_rel));
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         cost += costs.atomicShared;
 
         if (g.frozen)
@@ -838,7 +840,7 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
             conf = RndPos::unpack(cw);
             if (conf.rnd < cand_rnd && conf.pos != cap) {
                 writeSkipMarker(blockData(cand % n), cand);
-                ctrs.skips.fetch_add(1, std::memory_order_relaxed);
+                ctr.skips.fetch_add(1, std::memory_order_relaxed);
                 cost += costs.copy(16);
                 journalEmit(JournalEventKind::BlockSkip, core, cand,
                             conf.pos);
@@ -858,11 +860,11 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
 
         // Lock the block for our round (§4.2 step 4): Confirmed goes
         // from (old round, capacity) to (cand_rnd, 0).
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         if (!m.confirmed.compare_exchange_strong(
                 cw, RndPos::pack(cand_rnd, 0),
                 std::memory_order_acq_rel, std::memory_order_acquire)) {
-            ctrs.lockRaces.fetch_add(1, std::memory_order_relaxed);
+            ctr.lockRaces.fetch_add(1, std::memory_order_relaxed);
             cost += costs.retryBackoff;
             continue;
         }
@@ -885,19 +887,19 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
         // Step 6: reset Allocated for the new round. Stale fetch_adds
         // from other producers keep mutating the word, so loop.
         uint64_t aw = m.allocated.load(std::memory_order_acquire);
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         while (!m.allocated.compare_exchange_weak(
                    aw, RndPos::pack(cand_rnd,
                                     EntryLayout::blockHeaderBytes),
                    std::memory_order_acq_rel, std::memory_order_acquire)) {
-            ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+            ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
             cost += costs.retryBackoff;
         }
 
         // Step 7: confirm the header bytes.
         m.confirmed.fetch_add(EntryLayout::blockHeaderBytes,
                               std::memory_order_acq_rel);
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         cost += costs.atomicLocal;
 
         // Critical window: the block is locked and initialized but not
@@ -907,19 +909,19 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
 
         // Step 8: hand the block to our core.
         uint64_t expected = local_word;
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        ctr.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         if (!coreLocal[core]->compare_exchange_strong(
                 expected, RatioPos::pack(g.ratio, false, cand),
                 std::memory_order_acq_rel, std::memory_order_acquire)) {
             // Another thread on this core already installed a block;
             // release ours by closing it and use theirs (§4.2, end).
-            ctrs.coreRaces.fetch_add(1, std::memory_order_relaxed);
+            ctr.coreRaces.fetch_add(1, std::memory_order_relaxed);
             closeRound(meta_idx, cand_rnd, cost,
                        BlockCloseReason::Graveyard);
             return AdvanceResult::LostRace;
         }
 
-        ctrs.advances.fetch_add(1, std::memory_order_relaxed);
+        ctr.advances.fetch_add(1, std::memory_order_relaxed);
         return AdvanceResult::Advanced;
     }
 }

@@ -31,6 +31,7 @@
 
 #include "common/cacheline.h"
 #include "common/status.h"
+#include "common/thread_ordinal.h"
 #include "common/virtual_memory.h"
 #include "control/control_plane.h"
 #include "core/arena_control.h"
@@ -49,38 +50,58 @@ namespace btrace {
  * value-type Snapshot via BTrace::countersSnapshot() — handing out the
  * atomic struct invites torn cross-field reads (field A before an
  * update, field B after it) that look like accounting violations.
+ *
+ * The atomics are sharded per thread (DESIGN.md §3): a writer bumps
+ * only the shard its threadOrdinal() selects, so two producers on
+ * different cores never bounce a counter line between them, and
+ * snapshot() folds the shards. More live threads than shards only
+ * share a shard — slower, never wrong. Sums of unsigned shards are
+ * exact modulo 2^64, so the leasedOutstanding level (incremented on
+ * one thread, decremented on another) still folds to the exact value.
  */
 struct BTraceCounters
 {
-    std::atomic<uint64_t> fastAllocs{0};     //!< fast-path successes
-    std::atomic<uint64_t> boundaryFills{0};  //!< §4.1 Fig 8c tail dummies
-    std::atomic<uint64_t> staleAllocs{0};    //!< FAA landed in newer round
-    std::atomic<uint64_t> advances{0};       //!< block advancements
-    std::atomic<uint64_t> skips{0};          //!< §3.4 skipped blocks
-    std::atomic<uint64_t> closes{0};         //!< §3.2 closed lagging blocks
-    std::atomic<uint64_t> lockRaces{0};      //!< lost Confirmed lock CAS
-    std::atomic<uint64_t> coreRaces{0};      //!< lost core-local install
-    std::atomic<uint64_t> wouldBlock{0};     //!< Retry returned to caller
-    std::atomic<uint64_t> dummyBytes{0};     //!< space lost to dummies
-    std::atomic<uint64_t> resizes{0};
-    /**
-     * RMW instructions issued on shared words (metadata Allocated /
-     * Confirmed, global and core-local ratio_and_pos) by the write
-     * path. The single-entry path costs 2 per event (reserve FAA +
-     * confirm FAA); a lease costs 2 per batch. Tests assert the
-     * amortization on this counter.
-     */
-    std::atomic<uint64_t> sharedRmws{0};
-    std::atomic<uint64_t> leases{0};         //!< batched leases granted
-    std::atomic<uint64_t> leaseEntries{0};   //!< entries served from leases
-    /** Bytes leased but not yet published by a lease close. */
-    std::atomic<uint64_t> leasedOutstanding{0};
+    /** One thread group's counters, on lines of its own. */
+    struct alignas(cacheLineSize) Shard
+    {
+        std::atomic<uint64_t> fastAllocs{0};     //!< fast-path successes
+        std::atomic<uint64_t> boundaryFills{0};  //!< §4.1 Fig 8c tail dummies
+        std::atomic<uint64_t> staleAllocs{0};    //!< FAA landed in newer round
+        std::atomic<uint64_t> advances{0};       //!< block advancements
+        std::atomic<uint64_t> skips{0};          //!< §3.4 skipped blocks
+        std::atomic<uint64_t> closes{0};         //!< §3.2 closed lagging blocks
+        std::atomic<uint64_t> lockRaces{0};      //!< lost Confirmed lock CAS
+        std::atomic<uint64_t> coreRaces{0};      //!< lost core-local install
+        std::atomic<uint64_t> wouldBlock{0};     //!< Retry returned to caller
+        std::atomic<uint64_t> dummyBytes{0};     //!< space lost to dummies
+        std::atomic<uint64_t> resizes{0};
+        /**
+         * RMW instructions issued on shared words (metadata Allocated
+         * / Confirmed, global and core-local ratio_and_pos) by the
+         * write path. The single-entry path costs 2 per event
+         * (reserve FAA + confirm FAA); a lease costs 2 per batch.
+         * Tests assert the amortization on this counter. The counter
+         * shards themselves are not shared words and are not counted.
+         */
+        std::atomic<uint64_t> sharedRmws{0};
+        std::atomic<uint64_t> leases{0};         //!< batched leases granted
+        std::atomic<uint64_t> leaseEntries{0};   //!< entries served by leases
+        /** Bytes leased but not yet published by a lease close. */
+        std::atomic<uint64_t> leasedOutstanding{0};
+    };
+
+    /** Shard count: a power of two, sized for typical core counts. */
+    static constexpr unsigned kShards = 16;
+
+    /** The calling thread's shard (fixed for the thread's life). */
+    Shard &local() { return shards[threadOrdinal() % kShards]; }
 
     /**
-     * Value-type copy of the counters. Fields mirror the atomics
-     * one-for-one; all loads are relaxed (each field individually
-     * up-to-date, the set not a linearizable cut — fine for tests,
-     * reports, and monitoring; quiesce first for exact accounting).
+     * Value-type copy of the counters. Fields mirror the shard
+     * atomics one-for-one, summed over the shards; all loads are
+     * relaxed (each field individually up-to-date, the set not a
+     * linearizable cut — fine for tests, reports, and monitoring;
+     * quiesce first for exact accounting).
      */
     struct Snapshot
     {
@@ -109,7 +130,10 @@ struct BTraceCounters
         Snapshot operator-(const Snapshot &base) const;
     };
 
+    /** Fold every shard into one value-type copy. */
     Snapshot snapshot() const;
+
+    Shard shards[kShards];
 };
 
 /**
@@ -385,13 +409,6 @@ class BTrace : public Tracer
   private:
     friend class BTraceInspector;  //!< white-box test access
     friend class BTraceAuditor;    //!< post-quiesce invariant checker
-
-    /**
-     * Live atomic counters. Test-only: white-box friends may read the
-     * atomics directly; every other consumer goes through
-     * countersSnapshot() to avoid torn cross-field reads.
-     */
-    const BTraceCounters &counters() const { return ctrs; }
 
     enum class AdvanceResult { Advanced, LostRace, WouldBlock };
 

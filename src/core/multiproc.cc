@@ -330,7 +330,8 @@ BTrace::sweepDeadOwners()
         // The dead producer's leasedOutstanding died with its
         // process-local counters; ours never counted this lease, so
         // only the dummy tally moves here.
-        ctrs.dummyBytes.fetch_add(span_len, std::memory_order_relaxed);
+        ctrs.local().dummyBytes.fetch_add(span_len,
+                                          std::memory_order_relaxed);
         ++rep.reclaimedLeases;
         rep.reclaimedBytes += span_len;
         ctrl.hdr->reclaimedLeases.fetch_add(1,

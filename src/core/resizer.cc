@@ -145,7 +145,7 @@ BTrace::resize(std::size_t new_num_blocks)
             break;
     }
     ratioLog.publish();
-    ctrs.resizes.fetch_add(1, std::memory_order_relaxed);
+    ctrs.local().resizes.fetch_add(1, std::memory_order_relaxed);
     journalEmit(JournalEventKind::ResizeEnd, EventJournal::kNoCore,
                 g.pos, new_ratio);
 

@@ -184,6 +184,7 @@ ConsumerDaemon::drainLocked(const Dump &d,
     st.overwrittenPositions += d.overwrittenPositions;
     st.skippedBlocks += d.skippedBlocks;
     st.abandonedBlocks += d.abandonedBlocks;
+    st.unreadableBlocks += d.unreadableBlocks;
 
     if (!d.entries.empty() || sawLoss)
         return updateSegmentHeaderV2(segFd, segHdr);
@@ -345,6 +346,10 @@ ConsumerDaemon::registerMetrics(MetricsRegistry &registry)
     counter("btraced_abandoned_blocks_total",
             "blocks abandoned by dead producers (data loss)",
             &DaemonStats::abandonedBlocks);
+    counter("btraced_unreadable_blocks_total",
+            "blocks passed while a writer held them unconfirmed "
+            "(data loss)",
+            &DaemonStats::unreadableBlocks);
     counter("btraced_payload_bytes_total",
             "payload bytes drained to segments",
             &DaemonStats::payloadBytes);

@@ -85,6 +85,12 @@ struct DaemonStats
     uint64_t overwrittenPositions = 0;  //!< data loss seen by the cursor
     uint64_t skippedBlocks = 0;  //!< blocks lost to SKP markers
     uint64_t abandonedBlocks = 0;
+    /**
+     * Blocks the cursor walked past while an in-flight writer held
+     * them unconfirmed (Dump::unreadableBlocks): their records never
+     * reach a segment.
+     */
+    uint64_t unreadableBlocks = 0;
     uint64_t payloadBytes = 0;   //!< sum of drained DumpEntry::size
     uint64_t lagSampledRecords = 0;    //!< wall-clock stamps, lag taken
     uint64_t lagUnstampedRecords = 0;  //!< logical stamps, no lag

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <thread>
 
+#include "common/thread_ordinal.h"
+
 namespace btrace {
 
 namespace {
@@ -20,20 +22,6 @@ nowNs()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-}
-
-/**
- * Stable small integer id per thread, assigned once on first use —
- * same discipline as the latency histogram's shard selector, so a
- * thread keeps writing the same shard (and cache lines) for life.
- */
-uint32_t
-threadOrdinal()
-{
-    static std::atomic<uint32_t> next{0};
-    thread_local const uint32_t ordinal =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return ordinal;
 }
 
 uint64_t

@@ -209,7 +209,9 @@ class Lease
      * Serve one entry of @p payload_len payload bytes from the lease.
      * Returns a Retry ticket when the remaining span cannot fit the
      * entry (close() and open a fresh lease) or when the lease itself
-     * was not granted.
+     * was not granted. An entry larger than the whole span the lease
+     * asked for is served, on a fresh lease, by the tracer's
+     * single-entry allocate() instead (a ticket with leased == false).
      */
     WriteTicket allocate(uint32_t payload_len);
 
@@ -241,6 +243,7 @@ class Lease
         threadId = other.threadId;
         base = other.base;
         len = other.len;
+        requested = other.requested;
         used = other.used;
         confirmedBytes = other.confirmedBytes;
         dummyBytes = other.dummyBytes;
@@ -259,6 +262,7 @@ class Lease
     uint32_t threadId = 0;
     uint8_t *base = nullptr;       //!< leased span; null = fallback mode
     uint32_t len = 0;              //!< bytes leased (batched mode)
+    uint32_t requested = 0;        //!< span bytes asked for (>= len)
     uint32_t used = 0;             //!< bytes bump-allocated so far
     uint32_t confirmedBytes = 0;   //!< bytes confirmed through the lease
     uint32_t dummyBytes = 0;       //!< abandoned-entry bytes dummy-filled
@@ -436,10 +440,15 @@ class Tracer
      */
     virtual void leaseClose(Lease &l) { (void)l; }
 
-    /** Build a granted batched lease (implementation helper). */
+    /**
+     * Build a granted batched lease (implementation helper). @p len
+     * is the span granted, @p requested the span asked for; a grant
+     * cut short at a block's end has len < requested.
+     */
     static Lease
     grantLease(Tracer &t, uint16_t core, uint32_t thread, uint8_t *base,
-               uint32_t len, TicketHandle handle, double cost)
+               uint32_t len, uint32_t requested, TicketHandle handle,
+               double cost)
     {
         Lease l;
         l.owner = &t;
@@ -448,6 +457,7 @@ class Tracer
         l.threadId = thread;
         l.base = base;
         l.len = len;
+        l.requested = requested;
         l.handle = handle;
         l.costNs = cost;
         return l;
@@ -540,6 +550,17 @@ Lease::allocate(uint32_t payload_len)
     const auto need = static_cast<uint32_t>(
         EntryLayout::normalSize(payload_len));
     if (used + need > len) {
+        if (used == 0 && need > requested) {
+            // The entry exceeds the whole span the caller asked for,
+            // so a renewal of the same size could never hold it
+            // either: serve it through the owner's single-entry path
+            // (confirm/abandon route a non-leased ticket there). A
+            // span merely cut short at a block's end still renews.
+            ticket = owner->allocate(coreId, threadId, payload_len);
+            if (ticket.status == AllocStatus::Ok)
+                costNs += ticket.cost;
+            return ticket;
+        }
         ticket.status = AllocStatus::Retry;  // span exhausted; renew
         return ticket;
     }

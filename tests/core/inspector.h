@@ -37,8 +37,22 @@ class BTraceInspector
 
     std::size_t activeBlocks() const { return bt.numActive; }
 
-    /** Live atomic counters (test-only; prefer countersSnapshot()). */
-    const BTraceCounters &rawCounters() const { return bt.ctrs; }
+    /** The calling thread's live counter shard (prefer countersSnapshot()). */
+    const BTraceCounters::Shard &counterShard() const
+    {
+        return bt.ctrs.local();
+    }
+
+    /** Addresses of the shared control words (line-sharing checks). */
+    const void *metaAddr(std::size_t meta_idx) const
+    {
+        return &bt.meta[meta_idx];
+    }
+    const void *globalAddr() const { return bt.global; }
+    const void *coreWordAddr(unsigned core) const
+    {
+        return &bt.coreLocal[core];
+    }
 
     uint64_t physicalOf(uint64_t pos) const { return bt.physicalOf(pos); }
 

@@ -295,6 +295,68 @@ TEST(Lease, BlockClosedAndSkippedUnderOpenLease)
     expectCleanAudit(bt);
 }
 
+TEST(Lease, EntryLargerThanRequestedSpanServedSingleEntry)
+{
+    // A 52-byte hint with n = 1 asks for an 80-byte span; a 506-byte
+    // entry can never fit a renewal of that size. The fresh lease
+    // serves it through the single-entry path instead of reporting
+    // Retry forever.
+    BTrace bt(largeConfig());
+    Lease l = bt.lease(0, 1, 52, 1);
+    ASSERT_TRUE(l.ok());
+    WriteTicket t = l.allocate(506);
+    int renewals = 0;
+    while (!t.ok() && renewals < 4) {
+        l.close();
+        l = bt.lease(0, 1, 52, 1);
+        ASSERT_TRUE(l.ok());
+        ++renewals;
+        t = l.allocate(506);
+    }
+    ASSERT_TRUE(t.ok()) << "no grant after " << renewals << " renewals";
+    EXPECT_EQ(renewals, 0);
+    EXPECT_FALSE(t.leased);
+    writeNormal(t.dst, 1, 0, 1, 0, 506);
+    l.confirm(t);
+
+    // The span itself is untouched and still serves an entry that fits.
+    WriteTicket u = l.allocate(52);
+    ASSERT_TRUE(u.ok());
+    EXPECT_TRUE(u.leased);
+    writeNormal(u.dst, 2, 0, 1, 0, 52);
+    l.confirm(u);
+    l.close();
+
+    const BTraceCounters::Snapshot c = bt.countersSnapshot();
+    EXPECT_EQ(c.fastAllocs, 1u);
+    EXPECT_EQ(c.leases, 1u);
+    EXPECT_EQ(c.leaseEntries, 1u);
+    EXPECT_EQ(c.leasedOutstanding, 0u);
+    const Dump d = bt.dump();
+    ASSERT_EQ(d.entries.size(), 2u);
+    expectCleanAudit(bt);
+}
+
+TEST(Lease, SpanCutShortAtBlockEndStillRenews)
+{
+    // Only the oversize-for-the-request case bypasses the span: a
+    // fresh lease cut short by the block's end reports Retry for an
+    // entry that fits the requested span, so the caller renews into
+    // a fresh block as before.
+    BTrace bt(smallConfig());
+    ASSERT_TRUE(bt.record(0, 1, 1, 48));  // 72 B
+    ASSERT_TRUE(bt.record(0, 1, 2, 48));  // block now 160 of 256 B
+    Lease l = bt.lease(0, 1, 48, 4);      // asks 240 B, granted 96 B
+    ASSERT_TRUE(l.ok());
+    EXPECT_EQ(l.remainingBytes(), 96u);
+    WriteTicket t = l.allocate(104);      // 128 B: > grant, < request
+    EXPECT_EQ(t.status, AllocStatus::Retry);
+    l.close();
+    EXPECT_EQ(bt.countersSnapshot().fastAllocs, 2u);
+    EXPECT_EQ(bt.countersSnapshot().leasedOutstanding, 0u);
+    expectCleanAudit(bt);
+}
+
 #if defined(BTRACE_ENABLE_TEST_HOOKS) && BTRACE_ENABLE_TEST_HOOKS
 
 TEST(LeaseInterleaving, OwnerParkedInsideCloseWhileBlockSacrificed)

@@ -93,6 +93,44 @@ TEST_F(DaemonTest, DrainsIntoSegment)
     EXPECT_EQ(loaded.value()[0].stamp, 1u);
 }
 
+TEST_F(DaemonTest, UnreadableBlocksCounted)
+{
+    // A writer holding an allocated but unconfirmed ticket keeps its
+    // block unreadable; the drain walks past it, and the count of
+    // such blocks must surface in the stats and the metrics.
+    auto s = Session::create(smallConfig());
+    ASSERT_TRUE(s.ok());
+    Session sess = s.take();
+    for (uint64_t st = 1; st <= 4; ++st)
+        ASSERT_TRUE(sess->record(0, 1, st, 16));
+    WriteTicket held = sess->allocate(0, 1, 16);
+    ASSERT_EQ(held.status, AllocStatus::Ok);
+
+    DaemonOptions opts;
+    opts.outDir = dir;
+    opts.closeActive = true;
+    auto d = ConsumerDaemon::make(std::move(sess), opts);
+    ASSERT_TRUE(d.ok()) << d.status().toString();
+    ConsumerDaemon &daemon = *d.value();
+    ASSERT_TRUE(daemon.drainOnce().ok());
+    const DaemonStats st = daemon.stats();
+    EXPECT_GE(st.unreadableBlocks, 1u);
+
+    MetricsRegistry registry;
+    daemon.registerMetrics(registry);
+    bool found = false;
+    for (const MetricValue &m : registry.collect().metrics)
+        if (m.name == "btraced_unreadable_blocks_total") {
+            found = true;
+            EXPECT_DOUBLE_EQ(m.value, double(st.unreadableBlocks));
+        }
+    EXPECT_TRUE(found);
+
+    writeNormal(held.dst, 5, 0, 1, 0, 16);
+    daemon.session()->confirm(held);
+    daemon.stop();
+}
+
 TEST_F(DaemonTest, SecondDrainSeesOnlyNewEntries)
 {
     auto s = Session::create(smallConfig());

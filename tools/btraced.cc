@@ -335,7 +335,7 @@ main(int argc, char **argv)
                  "btraced: %llu drains, %llu entries, %llu segments, "
                  "%llu sweeps, %llu leases reclaimed (%llu bytes), "
                  "%llu attachments cleared, %llu positions lost, "
-                 "%llu blocks skipped\n",
+                 "%llu blocks skipped, %llu blocks unreadable\n",
                  static_cast<unsigned long long>(st.drains),
                  static_cast<unsigned long long>(st.entries),
                  static_cast<unsigned long long>(st.segmentsOpened),
@@ -345,7 +345,8 @@ main(int argc, char **argv)
                  static_cast<unsigned long long>(st.clearedAttachments),
                  static_cast<unsigned long long>(
                      st.overwrittenPositions),
-                 static_cast<unsigned long long>(st.skippedBlocks));
+                 static_cast<unsigned long long>(st.skippedBlocks),
+                 static_cast<unsigned long long>(st.unreadableBlocks));
 
     // Final rewrite after the stop-drain so the snapshot carries the
     // complete totals (this also covers SIGINT/SIGTERM exits — the
