@@ -90,12 +90,23 @@ Prng::chance(double p)
 double
 Prng::heavyTail(double lo, double hi, double shape)
 {
-    BTRACE_DASSERT(lo > 0 && hi > lo && shape > 0, "heavyTail: bad args");
-    // Inverse-CDF sampling of a bounded Pareto distribution.
-    const double la = std::pow(lo, shape);
-    const double ha = std::pow(hi, shape);
-    const double u = nextDouble();
-    return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / shape);
+    return BoundedPareto(lo, hi, shape).sample(*this);
+}
+
+BoundedPareto::BoundedPareto(double lo, double hi, double shape)
+    : la(std::pow(lo, shape)), ha(std::pow(hi, shape)), haLa(ha * la),
+      negInvShape(-1.0 / shape)
+{
+    BTRACE_DASSERT(lo > 0 && hi > lo && shape > 0,
+                   "BoundedPareto: bad args");
+}
+
+double
+BoundedPareto::sample(Prng &rng) const
+{
+    // Inverse CDF: F^-1(u) = (-(u*H - u*L - H) / (H*L))^(-1/shape).
+    const double u = rng.nextDouble();
+    return std::pow(-(u * ha - u * la - ha) / haLa, negInvShape);
 }
 
 } // namespace btrace

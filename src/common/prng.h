@@ -46,12 +46,32 @@ class Prng
     /**
      * Bounded Pareto-ish heavy-tail sample in [lo, hi]: most samples
      * near @p lo, occasional large ones. @p shape > 0 controls the
-     * tail (smaller = heavier).
+     * tail (smaller = heavier). One-off form of BoundedPareto.
      */
     double heavyTail(double lo, double hi, double shape);
 
   private:
     uint64_t s[4];
+};
+
+/**
+ * Bounded Pareto distribution over [lo, hi] (inverse-CDF sampling)
+ * with its constants computed once: a draw costs one nextDouble() and
+ * one pow(). Samples are bit-identical to Prng::heavyTail, which
+ * delegates here.
+ */
+class BoundedPareto
+{
+  public:
+    BoundedPareto(double lo, double hi, double shape);
+
+    double sample(Prng &rng) const;
+
+  private:
+    double la;        //!< lo^shape
+    double ha;        //!< hi^shape
+    double haLa;      //!< ha * la
+    double negInvShape;
 };
 
 } // namespace btrace

@@ -203,7 +203,7 @@ ControlPlane::publish(const ControlConfig &c, uint64_t version,
     // version. Tests park here to pin the swap ordering.
     BTRACE_TEST_YIELD(ControlPreSwap);
     // Single publication point: one release store; readers pay one
-    // relaxed load. Old snapshots stay alive in `snaps`, so a reader
+    // acquire load. Old snapshots stay alive in `snaps`, so a reader
     // holding the previous pointer never races reclamation.
     tracer.setControlSnapshot(next);
 }

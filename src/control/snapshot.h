@@ -12,8 +12,8 @@
  *
  * Fast-path contract (the same bar as the journal and observer
  * planes): when every knob is at its default the published pointer is
- * *null*, so the leased fast path pays exactly one relaxed load and a
- * predicted branch, and adds zero shared RMWs — the sharedRmws
+ * *null*, so the leased fast path pays exactly one acquire load (a
+ * plain load on x86) and a predicted branch, and adds zero shared RMWs — the sharedRmws
  * counter is asserted byte-identical with and without an attached
  * plane (tests/control/ControlContract). With non-default controls,
  * the decision state (first-K words, budget word, tallies) lives in a

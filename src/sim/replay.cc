@@ -47,14 +47,10 @@ class BurstProfile
     std::vector<std::vector<double>> factors;
 };
 
-/** Discrete simulation event. */
+/** One producer's write request: an arrival, retried from the backlog. */
 struct SimEv
 {
-    enum Kind { Arrival, Poke, Confirm, LeaseClose };
-
     double t = 0.0;
-    uint64_t seq = 0;       //!< deterministic tie-break
-    Kind kind = Arrival;
     uint16_t core = 0;
     uint32_t thread = 0;
     uint64_t stamp = 0;
@@ -62,17 +58,39 @@ struct SimEv
     double cost = 0.0;      //!< ns accumulated across attempts
     double arrivalT = 0.0;  //!< when the producer asked to record
     int attempts = 0;
-    WriteTicket ticket;     //!< valid for Confirm only
-    std::size_t leaseIdx = 0;  //!< graveyard slot, LeaseClose only
 };
 
-struct EvLater
+/**
+ * Event-heap entry. Payloads live outside the heap (a Confirm's ticket
+ * in the confirm slab, a LeaseClose's lease in the graveyard), so a
+ * sift moves 24 bytes.
+ */
+struct SimKey
+{
+    enum Kind : uint8_t { Arrival, Poke, Confirm, LeaseClose };
+
+    double t;
+    uint64_t seq;   //!< deterministic tie-break
+    uint32_t idx;   //!< Confirm: slab slot; LeaseClose: graveyard index
+    uint16_t core;  //!< Arrival only
+    Kind kind;
+};
+static_assert(sizeof(SimKey) == 24);
+
+struct KeyLater
 {
     bool
-    operator()(const SimEv &a, const SimEv &b) const
+    operator()(const SimKey &a, const SimKey &b) const
     {
         return a.t != b.t ? a.t > b.t : a.seq > b.seq;
     }
+};
+
+/** A mid-write-preempted write waiting for its owner to resume. */
+struct DeferredConfirm
+{
+    WriteTicket ticket;
+    double cost;  //!< ns accumulated up to the preemption
 };
 
 } // namespace
@@ -98,9 +116,13 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
     const BurstProfile bursts(wl, duration, opt.seed);
     const CostModel &model = tracer.model();
 
-    std::priority_queue<SimEv, std::vector<SimEv>, EvLater> heap;
+    std::priority_queue<SimKey, std::vector<SimKey>, KeyLater> heap;
     uint64_t seq = 0;
     uint64_t stamp_counter = 0;
+    auto push_key = [&](double t, SimKey::Kind kind, uint32_t idx,
+                        uint16_t core) {
+        heap.push(SimKey{t, ++seq, idx, core, kind});
+    };
 
     const double expected = wl.expectedBytes() * opt.rateScale /
                             (double(EntryLayout::normalHeaderBytes) +
@@ -108,10 +130,8 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
     if (opt.keepProducedLog)
         res.produced.reserve(static_cast<std::size_t>(expected * 1.1) + 64);
 
-    auto sample_payload = [&]() {
-        return static_cast<uint32_t>(
-            rng.heavyTail(wl.payloadLo, wl.payloadHi, wl.payloadShape));
-    };
+    const BoundedPareto payload_dist(wl.payloadLo, wl.payloadHi,
+                                     wl.payloadShape);
 
     auto push_arrival = [&](uint16_t core, double after) {
         const double rate = wl.ratePerSec[core] * opt.rateScale *
@@ -121,12 +141,7 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
         const double t = after + rng.exponential(1.0 / rate);
         if (t >= duration)
             return;
-        SimEv ev;
-        ev.t = t;
-        ev.seq = ++seq;
-        ev.kind = SimEv::Arrival;
-        ev.core = core;
-        heap.push(ev);
+        push_key(t, SimKey::Arrival, 0, core);
     };
 
     // The ground-truth log gains one entry per *arrival* (stamps stay
@@ -154,6 +169,24 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
     auto observe_latency = [&](double cost_ns) {
         if (TracerObserver *o = tracer.attachedObserver())
             o->maybeRecordSample(cost_ns);
+    };
+
+    // Tickets of writes preempted mid-write, confirmed when the owner
+    // resumes. Slots are reused once their Confirm has run.
+    std::vector<DeferredConfirm> confirm_slab;
+    std::vector<uint32_t> free_slots;
+    auto defer_confirm = [&](double resume, const WriteTicket &ticket,
+                             double cost) {
+        uint32_t idx;
+        if (free_slots.empty()) {
+            idx = uint32_t(confirm_slab.size());
+            confirm_slab.push_back(DeferredConfirm{ticket, cost});
+        } else {
+            idx = free_slots.back();
+            free_slots.pop_back();
+            confirm_slab[idx] = DeferredConfirm{ticket, cost};
+        }
+        push_key(resume, SimKey::Confirm, idx, 0);
     };
 
     // Global FIFO of events waiting behind a Retry. Both tracers that
@@ -228,12 +261,8 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
             // incomplete blocks. Only the long-stall tail (page
             // faults, compaction) may genuinely never return.
             if (resume <= std::max(grace, ev.t + (grace - duration))) {
-                SimEv cl;
-                cl.t = resume;
-                cl.seq = ++seq;
-                cl.kind = SimEv::LeaseClose;
-                cl.leaseIdx = graveyard.size() - 1;
-                heap.push(cl);
+                push_key(resume, SimKey::LeaseClose,
+                         uint32_t(graveyard.size() - 1), 0);
             }
         }
         for (int renewal = 0; renewal < 2; ++renewal) {
@@ -300,16 +329,7 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
                     observe_latency(cost);
                     return WriteStatus::Done;
                 }
-                SimEv conf;
-                conf.t = resume;
-                conf.seq = ++seq;
-                conf.kind = SimEv::Confirm;
-                conf.core = ev.core;
-                conf.thread = ev.thread;
-                conf.stamp = ev.stamp;
-                conf.cost = cost;
-                conf.ticket = ticket;
-                heap.push(conf);
+                defer_confirm(resume, ticket, cost);
                 return WriteStatus::Done;
             }
             ticket.cost = 0.0;
@@ -373,16 +393,7 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
                 ++res.unconfirmed;  // run ends before it resumes
                 return WriteStatus::Done;
             }
-            SimEv conf;
-            conf.t = resume;
-            conf.seq = ++seq;
-            conf.kind = SimEv::Confirm;
-            conf.core = ev.core;
-            conf.thread = ev.thread;
-            conf.stamp = ev.stamp;
-            conf.cost = cost;
-            conf.ticket = ticket;
-            heap.push(conf);
+            defer_confirm(resume, ticket, cost);
             return WriteStatus::Done;
         }
 
@@ -395,9 +406,20 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
         return WriteStatus::Done;
     };
 
-    // Drain the backlog in FIFO order until it blocks again (then
-    // schedule a poke) or empties.
+    // The backlog head is blocked: schedule a poke (exponential-ish
+    // backoff bounds the poke rate while the queue stays blocked) and
+    // start the blocked clock.
     double blocked_since = -1.0;
+    auto stall = [&](double now, int attempts) {
+        const double backoff =
+            std::min(opt.retryDelaySec * double(1 + attempts / 4), 1e-3);
+        push_key(now + backoff, SimKey::Poke, 0, 0);
+        if (blocked_since < 0)
+            blocked_since = now;
+    };
+
+    // Drain the backlog in FIFO order until it blocks again (then
+    // stall) or empties.
     auto service = [&](double now) {
         res.maxBacklog = std::max(res.maxBacklog, backlog.size());
         while (!backlog.empty()) {
@@ -411,18 +433,7 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
                 continue;
             }
             if (attempt_write(head) == WriteStatus::Blocked) {
-                // Exponential-ish backoff bounds the poke rate while
-                // the queue stays blocked.
-                const double backoff = std::min(
-                    opt.retryDelaySec * double(1 + head.attempts / 4),
-                    1e-3);
-                SimEv poke;
-                poke.t = now + backoff;
-                poke.seq = ++seq;
-                poke.kind = SimEv::Poke;
-                heap.push(poke);
-                if (blocked_since < 0)
-                    blocked_since = now;
+                stall(now, head.attempts);
                 return;
             }
             backlog.pop_front();
@@ -437,45 +448,56 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
         push_arrival(uint16_t(c), 0.0);
 
     while (!heap.empty()) {
-        SimEv ev = heap.top();
+        const SimKey key = heap.top();
         heap.pop();
 
-        switch (ev.kind) {
-          case SimEv::Arrival: {
-            push_arrival(ev.core, ev.t);
-            const SliceSchedule::Running run =
-                schedule.runningAt(ev.core, ev.t);
-            ev.thread = run.thread;
+        switch (key.kind) {
+          case SimKey::Arrival: {
+            push_arrival(key.core, key.t);
+            SimEv ev;
+            ev.t = key.t;
+            ev.core = key.core;
+            ev.thread = schedule.runningAt(ev.core, ev.t).thread;
             ev.stamp = ++stamp_counter;
             ev.arrivalT = ev.t;
-            ev.payload = sample_payload();
+            ev.payload = static_cast<uint32_t>(payload_dist.sample(rng));
             log_produced(ev.stamp,
                          uint32_t(EntryLayout::normalSize(ev.payload)),
                          ev.t, ev.core, ev.thread);
-            const bool idle = backlog.empty();
-            backlog.push_back(ev);
-            if (idle)
-                service(ev.t);
-            // Otherwise a poke for the blocked head is already
-            // pending; this event waits its turn in FIFO order.
+            if (!backlog.empty()) {
+                // A poke for the blocked head is already pending;
+                // this event waits its turn in FIFO order.
+                backlog.push_back(ev);
+                break;
+            }
+            // Nothing queued ahead: service() would make exactly this
+            // one attempt, so make it in place and queue the event
+            // only if it blocks.
+            res.maxBacklog = std::max<std::size_t>(res.maxBacklog, 1);
+            if (attempt_write(ev) == WriteStatus::Blocked) {
+                backlog.push_back(ev);
+                stall(ev.t, ev.attempts);
+            }
             break;
           }
-          case SimEv::Poke: {
-            service(ev.t);
+          case SimKey::Poke: {
+            service(key.t);
             break;
           }
-          case SimEv::Confirm: {
-            ev.ticket.cost = 0.0;
-            tracer.confirm(ev.ticket);
+          case SimKey::Confirm: {
+            DeferredConfirm &dc = confirm_slab[key.idx];
+            dc.ticket.cost = 0.0;
+            tracer.confirm(dc.ticket);
             if (opt.keepLatencySamples)
-                res.latencyNs.add(ev.cost + ev.ticket.cost);
-            observe_latency(ev.cost + ev.ticket.cost);
+                res.latencyNs.add(dc.cost + dc.ticket.cost);
+            observe_latency(dc.cost + dc.ticket.cost);
+            free_slots.push_back(key.idx);
             break;
           }
-          case SimEv::LeaseClose: {
+          case SimKey::LeaseClose: {
             // The preempted owner got its slice back and returned the
             // lease it was descheduled with.
-            graveyard[ev.leaseIdx].close();
+            graveyard[key.idx].close();
             break;
           }
         }

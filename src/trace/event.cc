@@ -39,15 +39,21 @@ writeNormal(uint8_t *dst, uint64_t stamp, uint16_t core, uint32_t thread,
     storeWord(dst + 16, Origin::pack(core, thread));
     uint8_t *payload = dst + EntryLayout::normalHeaderBytes;
     const std::size_t padded = size - EntryLayout::normalHeaderBytes;
+    // payloadByte(stamp, i) grows by 7 per byte, so byte lane b of
+    // word k holds payloadByte(stamp, 8k + b) and the next word is
+    // every lane plus 56, mod 256: a carry-free per-lane add (the low
+    // seven bits of each lane add, the top bit is xored back in; 56
+    // has no top bit).
+    constexpr uint64_t low7 = 0x7f7f7f7f7f7f7f7full;
+    constexpr uint64_t step = 0x3838383838383838ull;
+    uint64_t word = 0;
+    for (std::size_t b = 0; b < 8; ++b)
+        word |= uint64_t(payloadByte(stamp, b)) << (8 * b);
     for (std::size_t w = 0; w < padded; w += 8) {
-        uint64_t word = 0;
-        for (std::size_t b = 0; b < 8; ++b) {
-            const std::size_t i = w + b;
-            const uint8_t byte =
-                i < payload_len ? payloadByte(stamp, i) : 0;
-            word |= uint64_t(byte) << (8 * b);
-        }
-        storeWord(payload + w, word);
+        const std::size_t left = payload_len - w;  // < 8 only at the tail
+        storeWord(payload + w,
+                  left >= 8 ? word : word & ~(~0ull << (8 * left)));
+        word = ((word & low7) + step) ^ (word & ~low7);
     }
 }
 

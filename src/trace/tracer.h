@@ -401,8 +401,8 @@ class Tracer
      * @p category from @p thread at @p stamp should be recorded.
      * record() consults it internally; lease-path callers (the replay
      * engine, btrace_producer) call it before allocating an entry.
-     * With controls at defaults this is one relaxed load and a
-     * predicted-not-taken branch — zero shared RMWs, the same bar as
+     * With controls at defaults this is one acquire load (a plain
+     * load on x86) and a predicted-not-taken branch — zero shared RMWs, the same bar as
      * the journal and observer planes.
      */
     bool shouldRecord(uint16_t category, uint32_t thread,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "analysis/continuity.h"
 #include "core/auditor.h"
 #include "core/btrace.h"
@@ -215,6 +217,102 @@ TEST(ReplayLeased, FallbackKeepsBaselinesComparable)
             replay(*tracer, workloadByName("IM"), opt);
         EXPECT_FALSE(res.produced.empty()) << tracerKindName(kind);
         EXPECT_FALSE(res.dump.entries.empty()) << tracerKindName(kind);
+    }
+}
+
+// Golden digests: one 64-bit fingerprint of everything a replay
+// returns, pinned for a short run of every tracer. The determinism
+// tests above compare two runs of the same code; these catch a change
+// to the engine that alters any replayed bit.
+
+class Digest
+{
+  public:
+    void
+    add(uint64_t v)
+    {
+        h = (h ^ v) * 0x100000001b3ull;
+        h ^= h >> 29;
+    }
+
+    void add(double v) { add(std::bit_cast<uint64_t>(v)); }
+    void add(float v) { add(uint64_t(std::bit_cast<uint32_t>(v))); }
+
+    uint64_t value() const { return h; }
+
+  private:
+    uint64_t h = 0xcbf29ce484222325ull;
+};
+
+uint64_t
+replayDigest(const ReplayResult &r)
+{
+    Digest d;
+    d.add(uint64_t(r.produced.size()));
+    for (const ProducedEvent &e : r.produced) {
+        d.add(e.stamp);
+        d.add(uint64_t(e.bytes));
+        d.add(e.time);
+        d.add(uint64_t(e.core));
+        d.add(uint64_t(e.thread));
+        d.add(uint64_t(e.dropped));
+    }
+    d.add(uint64_t(r.dump.entries.size()));
+    for (const DumpEntry &e : r.dump.entries) {
+        d.add(e.stamp);
+        d.add(uint64_t(e.size));
+        d.add(uint64_t(e.core));
+        d.add(uint64_t(e.thread));
+        d.add(uint64_t(e.category));
+        d.add(uint64_t(e.payloadOk));
+    }
+    d.add(r.dump.skippedBlocks);
+    d.add(r.dump.abandonedBlocks);
+    d.add(r.dump.unreadableBlocks);
+    d.add(r.drops);
+    d.add(r.retries);
+    d.add(r.preemptedWrites);
+    d.add(r.unconfirmed);
+    d.add(r.leasesOpened);
+    d.add(r.leasesPreempted);
+    d.add(uint64_t(r.maxBacklog));
+    d.add(r.producedBytes);
+    d.add(r.blockedSec);
+    d.add(r.latencyNs.geoMean());
+    return d.value();
+}
+
+struct GoldenRun
+{
+    TracerKind kind;
+    const char *workload;
+    uint32_t leaseEntries;
+    uint64_t digest;  //!< captured before the replay loop was slimmed
+};
+
+TEST(ReplayGolden, DigestsPinned)
+{
+    const GoldenRun runs[] = {
+        {TracerKind::BTrace, "Video-3", 0, 0xea469c052bf8834bull},
+        {TracerKind::Bbq, "Video-3", 0, 0xe3d61266993587b8ull},
+        {TracerKind::Ftrace, "Video-3", 0, 0x9fe971c87e2ca1ddull},
+        {TracerKind::Lttng, "Video-3", 0, 0xecef4170ff73685full},
+        {TracerKind::Vtrace, "Video-3", 0, 0x0f1506f5459a24e7ull},
+        {TracerKind::BTrace, "IM", 32, 0x4ba1ff2274a1efd5ull},
+    };
+    for (const GoldenRun &g : runs) {
+        TracerFactoryOptions fo;
+        fo.capacityBytes = 1u << 20;
+        auto tracer = makeTracer(g.kind, fo);
+        ReplayOptions opt;
+        opt.durationSec = 0.3;
+        opt.seed = 7;
+        opt.leaseEntries = g.leaseEntries;
+        const ReplayResult res =
+            replay(*tracer, workloadByName(g.workload), opt);
+        EXPECT_EQ(replayDigest(res), g.digest)
+            << tracerKindName(g.kind) << " lease " << g.leaseEntries
+            << " got 0x" << std::hex << replayDigest(res);
     }
 }
 

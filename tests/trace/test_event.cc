@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "trace/event.h"
@@ -173,6 +174,43 @@ TEST(EntryCursor, ZeroBytesTreatedAsUnused)
     EntryView v;
     EXPECT_FALSE(cur.next(v));
     EXPECT_TRUE(cur.malformed());  // zeros are not valid entries
+}
+
+TEST(WriteNormal, MatchesBytewiseReference)
+{
+    // The word-at-a-time fill must equal the byte definition exactly:
+    // every length, stamps whose lanes wrap past 0xff, zero padding,
+    // and nothing written past normalSize(len).
+    const uint64_t stamps[] = {0, 1, 7, 8, 255, 0x1234567,
+                               0xffffffffffffffffull, 0x8000000000000005ull};
+    constexpr uint8_t guard = 0xcc;
+    std::vector<uint8_t> buf(EntryLayout::normalSize(600) + 64);
+    for (const uint64_t stamp : stamps) {
+        for (std::size_t len = 0; len <= 600; ++len) {
+            std::fill(buf.begin(), buf.end(), guard);
+            writeNormal(buf.data(), stamp, 3, 77, 9, len);
+            const std::size_t size = EntryLayout::normalSize(len);
+            const uint8_t *payload =
+                buf.data() + EntryLayout::normalHeaderBytes;
+            for (std::size_t i = 0;
+                 i < size - EntryLayout::normalHeaderBytes; ++i) {
+                const uint8_t want = i < len ? payloadByte(stamp, i) : 0;
+                ASSERT_EQ(payload[i], want)
+                    << "stamp " << stamp << " len " << len << " i " << i;
+            }
+            for (std::size_t i = size; i < buf.size(); ++i)
+                ASSERT_EQ(buf[i], guard) << "len " << len << " i " << i;
+            EntryCursor cur(buf.data(), size);
+            EntryView v;
+            ASSERT_TRUE(cur.next(v));
+            EXPECT_EQ(v.stamp, stamp);
+            EXPECT_EQ(v.size, size);
+            EXPECT_EQ(v.core, 3u);
+            EXPECT_EQ(v.thread, 77u);
+            EXPECT_EQ(v.category, 9u);
+            EXPECT_TRUE(v.payloadOk);
+        }
+    }
 }
 
 TEST(PayloadByte, DeterministicPerStamp)

@@ -2,12 +2,52 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 
+#include "common/prng.h"
 #include "workloads/catalog.h"
 
 namespace btrace {
 namespace {
+
+TEST(Catalog, PayloadSamplerValuesPinned)
+{
+    // Bit patterns of the first 64 payload sizes drawn from eShop-2's
+    // payload parameters, captured with Prng::heavyTail before the
+    // replay engine switched to the hoisted BoundedPareto sampler.
+    const uint64_t want[64] = {
+        0x40459d7afd303788ull, 0x403951fcaf5d6498ull, 0x403607d66b5de862ull,
+        0x4031e71167341622ull, 0x404179ce480f0df9ull, 0x40339129eacca6b9ull,
+        0x40643f7bae0ee946ull, 0x405a669e4d47d526ull, 0x403e4c0c4617dfb2ull,
+        0x405848b4fabcb8e3ull, 0x40436e34011d7277ull, 0x403ca76877909496ull,
+        0x4040762b1e6f974eull, 0x403737ba2135e3f8ull, 0x4061c1246a209e15ull,
+        0x4037ded813da527cull, 0x4039a20d54c93d7cull, 0x4031c0b23ca8d4c6ull,
+        0x4032bb630b431a6cull, 0x4034f5e69ab6bf70ull, 0x403ba4a43df77a02ull,
+        0x4031b2f7ce99e016ull, 0x40308b6c066a5a74ull, 0x40561cfb2176491eull,
+        0x40331ce289525331ull, 0x405636f2291b12ceull, 0x40346fa6c4f5e571ull,
+        0x403355305932fa4eull, 0x4041dbb9c14dcc0bull, 0x40362a45eae57fb9ull,
+        0x4035d4a1a97cb79dull, 0x4032d66b1962a477ull, 0x4037b36b4d5fa09aull,
+        0x40556c895cddbd2bull, 0x405b612370392653ull, 0x40375d55158b500eull,
+        0x40534b3419245e56ull, 0x403efc4f67e69420ull, 0x40517abc47780a00ull,
+        0x40631f90ea4f6ff7ull, 0x403bdbebd5500fe0ull, 0x4033f24f68916672ull,
+        0x40361d9f29222586ull, 0x4079a0de3e2d2f62ull, 0x4032ff925bfc8a83ull,
+        0x407ba0db6380bd2full, 0x404749898b8fe5c1ull, 0x40308299ea72a5a7ull,
+        0x4033c9557af0a4a1ull, 0x40331242cf088dbaull, 0x4032b1f733cf4851ull,
+        0x404274ec4a2d5222ull, 0x4035da9845452607ull, 0x40325b82435e840full,
+        0x407a75d47ebddf07ull, 0x40624177bb6d738bull, 0x4070c0ee276e4526ull,
+        0x40458d02eb047404ull, 0x40325ad2bc47e90eull, 0x4050b9c474eb1cbaull,
+        0x4034200344ab7aa7ull, 0x4050c52f5f1c8553ull, 0x403656806dcf2c7bull,
+        0x4037c6d4001d3a3bull,
+    };
+    const Workload &w = workloadByName("eShop-2");
+    const BoundedPareto payload(w.payloadLo, w.payloadHi, w.payloadShape);
+    Prng rng(w.seed);
+    for (int i = 0; i < 64; ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(payload.sample(rng)), want[i])
+            << "sample " << i;
+    }
+}
 
 TEST(Catalog, Has21Workloads)
 {
